@@ -235,7 +235,6 @@ def train_mechanism(
     workers: int = 1,
     seed: Optional[int] = None,
     sync_every: Optional[int] = None,
-    parallel_mode: str = "deterministic",
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = True,
@@ -254,10 +253,8 @@ def train_mechanism(
     every weight update stays in this process.  Requires a mechanism
     supporting the collect protocol (``supports_parallel_training``) and
     an explicit ``seed`` — the per-episode seeds are what make pooled
-    collection deterministic.  In the default ``parallel_mode=
-    "deterministic"`` the history is bit-identical for any worker count
-    (including ``workers=1``); ``"async"`` trades that invariance for
-    throughput (see ``docs/parallel.md``).  ``sync_every`` sets episodes
+    collection deterministic.  The history is bit-identical for any
+    worker count (including ``workers=1``).  ``sync_every`` sets episodes
     collected per policy snapshot.  On platforms that cannot spawn
     subprocesses, ``workers > 1`` falls back to in-process collection
     with a one-time warning — same results, no parallelism.
@@ -321,7 +318,6 @@ def train_mechanism(
             seed=seed,
             workers=workers,
             sync_every=sync_every,
-            mode=parallel_mode,
             log_every=log_every,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,

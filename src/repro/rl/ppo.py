@@ -14,7 +14,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro import obs as _obs
-from repro.autograd.arena import BufferArena, use_arena
 from repro.rl.buffer import Batch, RolloutBuffer
 from repro.rl.policy import GaussianPolicy, ValueNetwork
 from repro.rl.running_stat import RunningMeanStd
@@ -49,12 +48,6 @@ class PPOConfig:
     init_log_std: float = -0.5
     normalize_obs: bool = True
     normalize_advantages: bool = True
-    #: opt-in autograd buffer reuse: forward/backward intermediates of the
-    #: PPO update are written into a preallocated :class:`BufferArena`
-    #: reset once per minibatch, eliminating most per-update allocations.
-    #: Numerics are bit-identical (same ufuncs via ``out=``); parameters,
-    #: optimizer state, and returned diagnostics are never arena-backed.
-    reuse_buffers: bool = False
 
     def __post_init__(self):
         check_positive("actor_lr", self.actor_lr)
@@ -134,7 +127,6 @@ class PPOAgent:
             self.critic_opt, cfg.lr_decay, cfg.lr_decay_every
         )
         self.obs_stat = RunningMeanStd((obs_dim,)) if cfg.normalize_obs else None
-        self._arena = BufferArena() if cfg.reuse_buffers else None
         self._shuffle_rng = shuffle_rng
         self._mse = MSELoss()
         self.episodes_seen = 0
@@ -318,19 +310,6 @@ class PPOAgent:
     # ------------------------------------------------------------------ #
     # learning
     # ------------------------------------------------------------------ #
-    def enable_buffer_reuse(self, enabled: bool = True) -> None:
-        """Toggle arena-backed buffer reuse for subsequent updates.
-
-        Runtime counterpart of :attr:`PPOConfig.reuse_buffers` for agents
-        constructed without it.  Disabling drops the arena (and its
-        buffers) immediately.
-        """
-        if enabled:
-            if self._arena is None:
-                self._arena = BufferArena()
-        else:
-            self._arena = None
-
     def ready_to_update(self) -> bool:
         """Whether the buffer holds enough transitions for a stable update."""
         threshold = self.config.min_update_batch or 1
@@ -381,13 +360,6 @@ class PPOAgent:
                         stats[key] += stats_mb[key]
                     updates += 1
 
-            if self._arena is not None:
-                # Parameter .grad attributes still point at arena memory
-                # after the last minibatch; drop them so nothing outside
-                # the update observes buffers a future reset will recycle.
-                self.policy.zero_grad()
-                self.value_net.zero_grad()
-
             self.episodes_seen += 1
             self._actor_sched.step()
             self._critic_sched.step()
@@ -412,16 +384,6 @@ class PPOAgent:
             return self.value_net(obs).data.copy()
 
     def _update_minibatch(self, mb: Batch) -> Dict[str, float]:
-        arena = self._arena
-        if arena is None:
-            return self._update_minibatch_impl(mb)
-        # One reset per minibatch: every intermediate of the forward and
-        # backward passes below reuses the same preallocated buffers.
-        arena.reset()
-        with use_arena(arena):
-            return self._update_minibatch_impl(mb)
-
-    def _update_minibatch_impl(self, mb: Batch) -> Dict[str, float]:
         cfg = self.config
         adv = Tensor(mb.advantages)
         old_logp = Tensor(mb.log_probs)

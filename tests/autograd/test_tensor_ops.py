@@ -227,3 +227,25 @@ class TestBackwardSemantics:
             out = out + 1.0
         out.backward()
         np.testing.assert_allclose(t.grad, [1.0])
+
+
+class TestAccumulateOwnership:
+    """``_accumulate``'s ``owned`` fast path never adopts a shared array."""
+
+    def test_shared_upstream_grad_is_not_adopted(self):
+        # c = a + b passes the SAME incoming gradient array through to
+        # both parents.  If either adopted it as owned, the other's
+        # accumulation (or a later in-place add) would corrupt it.
+        a = Tensor(np.ones((3, 2)), requires_grad=True)
+        b = Tensor(np.ones((3, 2)), requires_grad=True)
+        (a + b).backward(np.full((3, 2), 5.0))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, np.full((3, 2), 5.0))
+
+    def test_seed_gradient_is_copied(self):
+        x = Tensor(np.zeros(4), requires_grad=True)
+        seed = np.ones(4)
+        (x * 1.0 + x).backward(seed)
+        seed[:] = -7.0  # caller mutates their seed afterwards
+        np.testing.assert_array_equal(x.grad, np.full(4, 2.0))

@@ -62,11 +62,6 @@ class TestDeterminism:
         assert _fingerprint(seed=11) == _fingerprint(seed=11)
         assert _fingerprint(seed=11) != _fingerprint(seed=12)
 
-    def test_async_equals_deterministic_at_one_worker(self):
-        # At workers=1 arrival order is submission order, so the async
-        # path must coincide with the deterministic one exactly.
-        assert _fingerprint(mode="async") == _fingerprint(mode="deterministic")
-
     def test_sync_every_is_part_of_the_contract(self):
         # The update cadence shapes the trajectory: a different
         # sync_every is a *different* (still deterministic) run.
@@ -91,11 +86,6 @@ class TestValidation:
         env, mechanism = _setup()
         with pytest.raises(ValueError, match="seed"):
             train_parallel(env, mechanism, 2, seed=None)
-
-    def test_unknown_mode_rejected(self):
-        env, mechanism = _setup()
-        with pytest.raises(ValueError, match="mode"):
-            train_parallel(env, mechanism, 2, seed=0, mode="eventually")
 
     def test_unsupported_mechanism_rejected(self):
         env, mechanism = _setup(mech="greedy")
